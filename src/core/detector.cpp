@@ -173,51 +173,33 @@ Detector Detector::rebuilt_with(
 
 SegmentVerdict Detector::score_segment(
     const hmm::ObservationSeq& segment) const {
-  return score_segment(segment, nullptr);
-}
-
-SegmentVerdict Detector::score_segment(const hmm::ObservationSeq& segment,
-                                       hmm::ForwardResult* forward) const {
   SegmentVerdict verdict;
   for (std::size_t id : segment) {
     if (id >= hmm_.num_symbols()) {
       verdict.unknown_symbol = true;
       verdict.log_likelihood = -std::numeric_limits<double>::infinity();
       verdict.flagged = true;
-      if (forward != nullptr) {
-        // The forward recursion cannot consume out-of-vocabulary ids;
-        // report an empty impossible pass instead of running it.
-        *forward = hmm::ForwardResult{};
-        forward->impossible = true;
-        forward->log_likelihood = verdict.log_likelihood;
-      }
       return verdict;
     }
   }
-  hmm::ForwardResult local = hmm::forward_scaled(hmm_, segment);
-  verdict.log_likelihood = local.log_likelihood;
+  verdict.log_likelihood = hmm::sequence_log_likelihood(hmm_, segment);
   verdict.flagged = verdict.log_likelihood < threshold_;
-  if (forward != nullptr) *forward = std::move(local);
   return verdict;
 }
 
 obs::DecisionRecord Detector::make_decision_record(
     const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
-    const hmm::ForwardResult& forward) const {
+    std::span<const ForwardStep> steps) const {
+  if (!verdict.unknown_symbol && steps.size() != segment.size()) {
+    throw std::invalid_argument(
+        "Detector::make_decision_record: one forward step per symbol");
+  }
   obs::DecisionRecord record;
   record.log_likelihood = verdict.log_likelihood;
   record.threshold = threshold_;
   record.margin = verdict.log_likelihood - threshold_;
   record.flagged = verdict.flagged;
   record.unknown_symbol = verdict.unknown_symbol;
-
-  // Per-symbol contributions and argmax states are computed inline (same
-  // semantics as hmm::per_symbol_log_contributions /
-  // per_symbol_argmax_states, asserted by decision_trace_test) rather than
-  // through the helpers: this runs per sampled window on the scoring hot
-  // path, and the helpers' temporary vectors are measurable there.
-  const std::size_t num_states = forward.alpha.cols();
-  bool dead = false;  // scoring stopped at an earlier impossible step
   record.symbols.reserve(segment.size());
   for (std::size_t t = 0; t < segment.size(); ++t) {
     obs::SymbolContribution entry;
@@ -234,22 +216,8 @@ obs::DecisionRecord Detector::make_decision_record(
                            ? -std::numeric_limits<double>::infinity()
                            : 0.0;
     } else {
-      if (t < forward.scales.size() && !dead) {
-        const double c = forward.scales[t];
-        if (c <= 0.0) {
-          entry.log_prob = -std::numeric_limits<double>::infinity();
-          dead = true;
-        } else {
-          entry.log_prob = std::log(c);
-        }
-      }
-      if (t < forward.alpha.rows()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < num_states; ++i) {
-          if (forward.alpha(t, i) > forward.alpha(t, best)) best = i;
-        }
-        entry.state = best;
-      }
+      entry.log_prob = steps[t].log_prob;
+      entry.state = steps[t].state;
     }
     record.symbols.push_back(entry);
   }

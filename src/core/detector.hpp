@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,16 @@ struct SegmentVerdict {
   /// True when the segment contains an observation the model cannot emit
   /// (unknown call or unknown calling context).
   bool unknown_symbol = false;
+};
+
+/// One step of a window's scaled forward pass, as the decision audit reads
+/// it: log c_t (this symbol's additive share of the window log-likelihood)
+/// and the most probable hidden state after consuming the symbol. A step
+/// whose prefix became impossible carries -infinity in state 0; the steps
+/// after it carry 0 in state 0. ScoringKernel::score_window fills these.
+struct ForwardStep {
+  double log_prob = 0.0;
+  std::size_t state = 0;
 };
 
 struct TraceVerdict {
@@ -111,22 +122,17 @@ class Detector {
   /// Scores one segment (alphabet-frozen encoding).
   SegmentVerdict score_segment(const hmm::ObservationSeq& segment) const;
 
-  /// Scores one segment and exposes the forward pass (for decision
-  /// tracing). Same cost as the plain overload — the likelihood already
-  /// requires the full forward recursion. For segments with unknown
-  /// observations (which the forward pass cannot consume) `forward` comes
-  /// back empty with impossible=true and log_likelihood=-infinity.
-  SegmentVerdict score_segment(const hmm::ObservationSeq& segment,
-                               hmm::ForwardResult* forward) const;
-
-  /// Assembles the `cmarkov.decision.v1` audit record for a segment scored
-  /// via the forward-exposing overload: per-symbol log c_t contributions
-  /// (summing exactly to verdict.log_likelihood), argmax hidden states,
-  /// unknown-call marks, and the threshold margin. session / trace_id /
-  /// window_index / alarm / sampled are left for the caller to fill.
+  /// Assembles the `cmarkov.decision.v1` audit record for a scored segment
+  /// from the per-step sink ScoringKernel::score_window filled while
+  /// scoring it: per-symbol log c_t contributions (summing exactly to
+  /// verdict.log_likelihood), argmax hidden states, unknown-call marks, and
+  /// the threshold margin. `steps` holds one entry per segment symbol; it
+  /// is not read for unknown-symbol verdicts (no recursion ran — the
+  /// unknown ids carry the -infinity). session / trace_id / window_index /
+  /// alarm / sampled are left for the caller to fill.
   obs::DecisionRecord make_decision_record(
       const hmm::ObservationSeq& segment, const SegmentVerdict& verdict,
-      const hmm::ForwardResult& forward) const;
+      std::span<const ForwardStep> steps) const;
 
   /// Viterbi attribution: the most likely hidden-state path for a segment,
   /// rendered with the static state labels ("read@fill_window",

@@ -90,19 +90,19 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     at += 1;
     if (at == length) at = 0;
   }
-  // Decision tracing needs the full alpha matrix for the audit record, so
-  // it keeps the reference recursion; everything else scores through the
-  // compiled kernel with flat scratch (bit-identical in exact mode).
-  const bool tracing =
-      options_.decisions.enabled && options_.decisions.ring_capacity > 0;
-  hmm::ForwardResult forward;
-  SegmentVerdict verdict;
-  if (tracing) {
-    verdict = detector_->score_segment(segment_, &forward);
-  } else {
-    verdict = kernel_->score_window(segment_, scratch_);
-    update.scored_by_kernel = true;
-  }
+  // One kernel call per window. When this window's audit record could be
+  // kept — it is the periodic sample, or any flagged window is recorded —
+  // the kernel also fills the per-step sink the record is built from.
+  const DecisionTraceOptions& audit = options_.decisions;
+  const bool tracing = audit.enabled && audit.ring_capacity > 0;
+  const bool sampled = tracing && audit.sample_every > 0 &&
+                       (stats_.windows_scored + 1) % audit.sample_every == 0;
+  const bool keep_flagged = tracing && audit.always_on_flagged;
+  const bool fill_steps = sampled || keep_flagged;
+  if (fill_steps) steps_.resize(length);
+  const SegmentVerdict verdict = kernel_->score_window(
+      segment_, scratch_,
+      fill_steps ? std::span<ForwardStep>(steps_) : std::span<ForwardStep>());
   update.log_likelihood = verdict.log_likelihood;
   update.flagged = verdict.flagged;
   update.unknown_symbol = verdict.unknown_symbol;
@@ -125,24 +125,15 @@ MonitorUpdate OnlineMonitor::on_event(trace::CallEvent event) {
     consecutive_flagged_ = 0;
   }
 
-  if (tracing) {
-    const bool sampled =
-        options_.decisions.sample_every > 0 &&
-        stats_.windows_scored % options_.decisions.sample_every == 0;
-    const bool forced = options_.decisions.always_on_flagged &&
-                        (verdict.flagged || update.alarm);
-    if (sampled || forced) {
-      obs::DecisionRecord record =
-          detector_->make_decision_record(segment_, verdict, forward);
-      record.window_index = stats_.windows_scored;
-      record.alarm = update.alarm;
-      record.sampled = sampled;
-      decisions_.push_back(std::move(record));
-      while (decisions_.size() > options_.decisions.ring_capacity) {
-        decisions_.pop_front();
-      }
-      update.decision = &decisions_.back();
-    }
+  if (sampled || (keep_flagged && verdict.flagged)) {
+    obs::DecisionRecord record =
+        detector_->make_decision_record(segment_, verdict, steps_);
+    record.window_index = stats_.windows_scored;
+    record.alarm = update.alarm;
+    record.sampled = sampled;
+    decisions_.push_back(std::move(record));
+    while (decisions_.size() > audit.ring_capacity) decisions_.pop_front();
+    update.decision = &decisions_.back();
   }
   return update;
 }

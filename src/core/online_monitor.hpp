@@ -43,9 +43,12 @@ namespace cmarkov::core {
 ///     periodic sample);
 ///   - flagged windows and alarms are always recorded when
 ///     `always_on_flagged` is set, regardless of the period.
-/// Detailed scoring reuses the forward pass the verdict already needs, so
-/// the steady-state overhead is the sampling branch plus record assembly
-/// for admitted windows only.
+/// Records are built from the same kernel pass that scores the window: for
+/// every window a record could be kept for (the periodic sample, and every
+/// window while `always_on_flagged` is set, since flagging is known only
+/// after scoring) the kernel also fills a per-step sink of log c_t and
+/// argmax states. No window is scored twice; the overhead is that sink plus
+/// record assembly for admitted windows.
 struct DecisionTraceOptions {
   bool enabled = false;
   /// Record every Nth scored window (1 = all, 0 = only flagged/alarms).
@@ -119,14 +122,10 @@ struct MonitorUpdate {
   bool unknown_symbol = false;
   /// Alarm fired on this event (hysteresis + cooldown applied).
   bool alarm = false;
-  /// Window scored through the compiled ScoringKernel (the fast path).
-  /// False for windows scored via the reference forward pass — the
-  /// decision-audit path, which needs the full alpha matrix. Both paths
-  /// produce bit-identical verdicts in exact-kernel mode.
-  bool scored_by_kernel = false;
   /// Audit record for this window when decision tracing admitted it; null
-  /// otherwise. Points into the monitor's ring — valid until the next
-  /// on_event / reset_window call on the same monitor.
+  /// otherwise. Built from the scoring pass itself, so auditing never
+  /// changes the verdict. Points into the monitor's ring — valid until the
+  /// next on_event / reset_window call on the same monitor.
   const obs::DecisionRecord* decision = nullptr;
   /// The completed window's encoded observation ids (oldest first); null
   /// while the window is still filling. Points into the monitor's scoring
@@ -208,9 +207,10 @@ class OnlineMonitor {
   /// Heap bytes held by this monitor's scoring state (the per-session
   /// memory bill the serving tier budgets): the object itself plus window
   /// ring, segment scratch, and the kernel's flat forward scratch.
-  /// Excludes the decision-audit ring (a debug facility that is empty in
-  /// production configurations) and the shared kernel image, which is
-  /// per-model-version, not per-session (ScoringKernel::image_bytes).
+  /// Excludes the decision-audit ring and its per-step buffer (a debug
+  /// facility that is empty in production configurations) and the shared
+  /// kernel image, which is per-model-version, not per-session
+  /// (ScoringKernel::image_bytes).
   std::size_t state_bytes() const;
 
   /// Moves the window/scratch buffers out for pool recycling. The monitor
@@ -221,9 +221,10 @@ class OnlineMonitor {
   const Detector* detector_;
   const trace::Symbolizer* symbolizer_;
   MonitorOptions options_;
-  /// Shared compiled model image; scores every non-audited window.
+  /// Shared compiled model image; scores every window.
   std::shared_ptr<const ScoringKernel> kernel_;
   KernelScratch scratch_;            // flat forward rows, pool-recycled
+  std::vector<ForwardStep> steps_;   // audit sink, sized when tracing
   std::vector<std::size_t> window_;  // ring of encoded observation ids
   std::size_t window_head_ = 0;      // index of the oldest id
   std::size_t window_count_ = 0;

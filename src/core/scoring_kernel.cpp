@@ -32,6 +32,16 @@ std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
+/// Most probable state of a normalized alpha row; ties go to the lowest
+/// state, as in hmm::per_symbol_argmax_states.
+std::size_t argmax_state(const double* row, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (row[i] > row[best]) best = i;
+  }
+  return best;
+}
+
 /// Bump-carves an 8-aligned section of `bytes` out of the arena cursor.
 std::size_t carve(std::size_t& cursor, std::size_t bytes) {
   const std::size_t at = cursor;
@@ -245,12 +255,13 @@ std::size_t ScoringKernel::find_symbol(std::string_view observation) const {
 }
 
 SegmentVerdict ScoringKernel::score_window(
-    std::span<const std::size_t> window, KernelScratch& scratch) const {
+    std::span<const std::size_t> window, KernelScratch& scratch,
+    std::span<ForwardStep> steps) const {
   SegmentVerdict verdict;
   for (const std::size_t id : window) {
     if (id >= num_symbols_) {
       // Same contract as Detector::score_segment: out-of-vocabulary means
-      // impossible, no recursion runs.
+      // impossible, no recursion runs (and the sink is left untouched).
       verdict.unknown_symbol = true;
       verdict.log_likelihood = -std::numeric_limits<double>::infinity();
       verdict.flagged = true;
@@ -258,14 +269,33 @@ SegmentVerdict ScoringKernel::score_window(
     }
   }
   const std::size_t t_len = window.size();
+  if (!steps.empty() && steps.size() != t_len) {
+    throw std::invalid_argument(
+        "ScoringKernel::score_window: step sink must match the window");
+  }
   if (t_len == 0) {
     verdict.log_likelihood = 0.0;
     verdict.flagged = verdict.log_likelihood < threshold_;
     return verdict;
   }
+  const bool audit = !steps.empty();
   const std::size_t n = num_states_;
   double* prev = scratch.ensure(n);
   double* cur = prev + n;
+
+  // A zero-probability prefix ends the recursion at step t: that step
+  // absorbs the -infinity and later steps contribute 0, all in state 0 —
+  // the hmm::per_symbol_log_contributions / per_symbol_argmax_states
+  // reading of the reference's zero-filled alpha rows.
+  const auto impossible = [&](std::size_t t) {
+    if (audit) {
+      steps[t] = {-std::numeric_limits<double>::infinity(), 0};
+      for (std::size_t s = t + 1; s < t_len; ++s) steps[s] = {};
+    }
+    verdict.log_likelihood = -std::numeric_limits<double>::infinity();
+    verdict.flagged = verdict.log_likelihood < threshold_;
+    return verdict;
+  };
 
   // Identical operations in identical order to hmm::forward_scaled (exact
   // mode): every cur[j] accumulates its predecessor terms in ascending-i
@@ -276,6 +306,7 @@ SegmentVerdict ScoringKernel::score_window(
   // of additions into any one accumulator — so not a single double differs,
   // while the inner loop becomes n independent lanes the compiler can
   // vectorize (a j-outer dot product is a serial FP reduction and cannot).
+  // The audit sink reads each normalized row after the step's inner loops.
   double scale = 0.0;
   {
     const double* em = emission_col(window[0]);
@@ -285,13 +316,10 @@ SegmentVerdict ScoringKernel::score_window(
       scale += v;
     }
   }
-  if (scale <= 0.0) {
-    verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-    verdict.flagged = verdict.log_likelihood < threshold_;
-    return verdict;
-  }
+  if (scale <= 0.0) return impossible(0);
   double log_lik = std::log(scale);
   for (std::size_t i = 0; i < n; ++i) prev[i] /= scale;
+  if (audit) steps[0] = {log_lik, argmax_state(prev, n)};
 
   for (std::size_t t = 1; t < t_len; ++t) {
     const double* em = emission_col(window[t]);
@@ -323,13 +351,11 @@ SegmentVerdict ScoringKernel::score_window(
         scale += v;
       }
     }
-    if (scale <= 0.0) {
-      verdict.log_likelihood = -std::numeric_limits<double>::infinity();
-      verdict.flagged = verdict.log_likelihood < threshold_;
-      return verdict;
-    }
-    log_lik += std::log(scale);
+    if (scale <= 0.0) return impossible(t);
+    const double log_scale = std::log(scale);
+    log_lik += log_scale;
     for (std::size_t j = 0; j < n; ++j) cur[j] /= scale;
+    if (audit) steps[t] = {log_scale, argmax_state(cur, n)};
     std::swap(prev, cur);
   }
 

@@ -36,8 +36,11 @@
 // performs the same floating-point operations in the same order as
 // hmm::forward_scaled, so window log-likelihoods are BIT-IDENTICAL to the
 // reference path (asserted by detector_test / online_monitor_test golden
-// tests). Top-K pruning is opt-in and documented in DESIGN.md §"Scoring
-// kernel" with its error bound; it is never enabled implicitly.
+// tests). It is the only recursion OnlineMonitor runs: the decision audit
+// reads log c_t and the argmax state of each step from an optional
+// per-step sink instead of a reference alpha matrix. Top-K pruning is
+// opt-in and documented in DESIGN.md §"Scoring kernel" with its error
+// bound; it is never enabled implicitly.
 #pragma once
 
 #include <cstddef>
@@ -107,8 +110,16 @@ class ScoringKernel {
   /// doubles); pruned mode under-estimates the likelihood within the
   /// documented bound. `scratch` is grown on demand and holds no state
   /// across calls.
+  ///
+  /// `steps`, when not empty, is the decision audit's per-step sink: it
+  /// must hold one entry per window symbol and receives log c_t and the
+  /// argmax state of each normalized alpha row (see ForwardStep), the
+  /// input of Detector::make_decision_record. Windows with an unknown id
+  /// run no recursion and leave it untouched. An empty sink adds one
+  /// branch per step outside the inner loops.
   SegmentVerdict score_window(std::span<const std::size_t> window,
-                              KernelScratch& scratch) const;
+                              KernelScratch& scratch,
+                              std::span<ForwardStep> steps = {}) const;
 
   std::size_t num_states() const { return num_states_; }
   std::size_t num_symbols() const { return num_symbols_; }

@@ -1,6 +1,7 @@
 // Baum-Welch training options/report types and the mean log-likelihood
 // scorer. The training engine itself lives in hmm::Trainer
-// (src/hmm/trainer.hpp); tools/check_trainer_api.sh keeps the old free
+// (src/hmm/trainer.hpp), which also defines mean_log_likelihood with the
+// holdout scorer it shares; tools/check_trainer_api.sh keeps the old free
 // training entry point from coming back.
 //
 // Convergence follows the paper's protocol: 20% of the normal data is held

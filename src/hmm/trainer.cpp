@@ -137,6 +137,16 @@ void check_symbol_range(const std::vector<ObservationSeq>& sequences,
 
 }  // namespace
 
+double mean_log_likelihood(const Hmm& model,
+                           const std::vector<ObservationSeq>& sequences,
+                           double impossible_penalty,
+                           std::size_t num_threads) {
+  if (sequences.empty()) return 0.0;
+  WorkerPool pool(num_threads);
+  return pooled_mean_log_likelihood(model, HmmKernelCache(model), sequences,
+                                    impossible_penalty, pool);
+}
+
 void SuffStats::reset() {
   for (std::size_t r = 0; r < transition_num.rows(); ++r) {
     auto row = transition_num.row(r);

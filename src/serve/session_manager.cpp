@@ -199,8 +199,6 @@ SessionManager::SessionManager(ModelRegistry& registry, ServiceConfig config)
   dropped_total_ = &metrics_->counter("cmarkov_serve_events_dropped_total");
   rejected_total_ = &metrics_->counter("cmarkov_serve_events_rejected_total");
   windows_total_ = &metrics_->counter("cmarkov_serve_windows_total");
-  kernel_windows_total_ =
-      &metrics_->counter("cmarkov_serve_kernel_windows_total");
   alarms_total_ = &metrics_->counter("cmarkov_serve_alarms_total");
   sessions_evicted_total_ =
       &metrics_->counter("cmarkov_serve_sessions_evicted_total");
@@ -445,6 +443,12 @@ bool SessionManager::has_session(const std::string& id) const {
 }
 
 SessionStats SessionManager::session_stats(const std::string& id) const {
+  if (const auto session = find_session(id)) return snapshot(*session);
+  if (const auto snap = snapshots_.peek(id)) return stats_from_snapshot(*snap);
+  // A live session mid-eviction (erased from sessions_, not yet put) or
+  // mid-restore (taken from the store, not yet inserted) misses both
+  // lookups; those transitions hold lifecycle_mu_, so look again under it.
+  const std::lock_guard lifecycle(lifecycle_mu_);
   if (const auto session = find_session(id)) return snapshot(*session);
   if (const auto snap = snapshots_.peek(id)) return stats_from_snapshot(*snap);
   throw std::invalid_argument("SessionManager: no session '" + id + "'");
@@ -1016,10 +1020,7 @@ void SessionManager::process_item(Item& item, BatchCounters& batch) {
   }
   item.session->processed.fetch_add(1, std::memory_order_relaxed);
   batch.processed += 1;
-  if (update.window_complete) {
-    batch.windows += 1;
-    if (update.scored_by_kernel) batch.kernel_windows += 1;
-  }
+  if (update.window_complete) batch.windows += 1;
   if (update.alarm) {
     alarms_total_->add(1);
     log_debug() << "alarm session=" << item.session->id
@@ -1064,9 +1065,6 @@ void SessionManager::flush_batch(std::size_t shard,
     shard_processed_totals_[shard]->add(batch.processed);
   }
   if (batch.windows > 0) windows_total_->add(batch.windows);
-  if (batch.kernel_windows > 0) {
-    kernel_windows_total_->add(batch.kernel_windows);
-  }
 }
 
 void SessionManager::record_span(obs::SpanRecord span) {

@@ -190,7 +190,10 @@ class SessionManager {
   /// Live counters (no drain; may lag concurrent processing). Works for
   /// resident and evicted sessions alike. Never blocks on a scoring batch:
   /// the monitor counters are read under a try-lock, falling back to a
-  /// per-event refreshed cache when the owning worker holds the lock.
+  /// per-event refreshed cache when the owning worker holds the lock. A
+  /// session caught between the resident map and the snapshot store
+  /// (mid-eviction or mid-restore) is looked up again under the lifecycle
+  /// lock, so only an unknown id throws.
   SessionStats session_stats(const std::string& id) const;
   std::vector<SessionStats> all_session_stats() const;
 
@@ -301,7 +304,6 @@ class SessionManager {
   struct BatchCounters {
     std::uint64_t processed = 0;
     std::uint64_t windows = 0;
-    std::uint64_t kernel_windows = 0;
   };
 
   std::shared_ptr<Session> find_session(const std::string& id) const;
@@ -350,7 +352,7 @@ class SessionManager {
   /// session is always either resident or in the snapshot store — never
   /// both, never neither. The submit hot path takes it only on a resident
   /// miss. Ordering: lifecycle_mu_ > sessions_mu_ > worker.mu/monitor_mu.
-  std::mutex lifecycle_mu_;
+  mutable std::mutex lifecycle_mu_;
 
   mutable std::shared_mutex sessions_mu_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_;
@@ -395,7 +397,6 @@ class SessionManager {
   obs::Counter* dropped_total_;
   obs::Counter* rejected_total_;
   obs::Counter* windows_total_;
-  obs::Counter* kernel_windows_total_;
   obs::Counter* alarms_total_;
   obs::Counter* sessions_evicted_total_;
   obs::Counter* sessions_restored_total_;

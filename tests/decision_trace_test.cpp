@@ -1,9 +1,10 @@
 // Tests for the decision audit trail (src/obs/trace/): BoundedLog drop
 // accounting under concurrency, Tracer sampling semantics, per-symbol
 // forward decompositions that sum exactly to the window log-likelihood,
-// DecisionRecord assembly for known/unknown/impossible windows, monitor
-// ring sampling, and golden-file pins for the JSONL and Chrome-trace
-// sinks. Regenerate goldens with CMARKOV_UPDATE_GOLDEN=1.
+// DecisionRecord assembly from the scoring kernel's step sink for
+// normal/flagged/unknown/impossible windows (checked against the reference
+// forward pass), monitor ring sampling, and golden-file pins for the JSONL
+// and Chrome-trace sinks. Regenerate goldens with CMARKOV_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +17,7 @@
 
 #include "src/core/detector.hpp"
 #include "src/core/online_monitor.hpp"
+#include "src/core/scoring_kernel.hpp"
 #include "src/hmm/forward_backward.hpp"
 #include "src/obs/run_profile.hpp"
 #include "src/obs/trace/bounded_log.hpp"
@@ -23,6 +25,7 @@
 #include "src/obs/trace/decision_log.hpp"
 #include "src/obs/trace/decision_record.hpp"
 #include "src/obs/trace/tracer.hpp"
+#include "tests/reference_record.hpp"
 
 namespace cmarkov {
 namespace {
@@ -45,12 +48,8 @@ void compare_golden(const std::string& name, const std::string& actual) {
   EXPECT_EQ(buffer.str(), actual);
 }
 
-/// Hand-built 2-state / 2-symbol detector; deterministic by construction.
-core::Detector tiny_detector(double threshold) {
-  hmm::Hmm model;
-  model.transition = Matrix::from_rows({{0.7, 0.3}, {0.4, 0.6}});
-  model.emission = Matrix::from_rows({{0.9, 0.1}, {0.2, 0.8}});
-  model.initial = {0.6, 0.4};
+/// Hand-built 2-state / 2-symbol detector over read@main / write@main.
+core::Detector detector_from(hmm::Hmm model, double threshold) {
   hmm::Alphabet alphabet;
   alphabet.intern("read@main");
   alphabet.intern("write@main");
@@ -60,6 +59,27 @@ core::Detector tiny_detector(double threshold) {
   return core::Detector::from_parts(config, std::move(model),
                                     std::move(alphabet), threshold,
                                     /*trained=*/true);
+}
+
+/// Deterministic 2-state model under which every window is possible.
+core::Detector tiny_detector(double threshold) {
+  hmm::Hmm model;
+  model.transition = Matrix::from_rows({{0.7, 0.3}, {0.4, 0.6}});
+  model.emission = Matrix::from_rows({{0.9, 0.1}, {0.2, 0.8}});
+  model.initial = {0.6, 0.4};
+  return detector_from(std::move(model), threshold);
+}
+
+/// The audit record as cmarkovd builds it: one kernel pass filling the
+/// step sink, then Detector::make_decision_record.
+obs::DecisionRecord kernel_record(const core::Detector& detector,
+                                  const hmm::ObservationSeq& segment) {
+  const auto kernel = core::ScoringKernel::compile(detector);
+  core::KernelScratch scratch;
+  std::vector<core::ForwardStep> steps(segment.size());
+  const core::SegmentVerdict verdict =
+      kernel->score_window(segment, scratch, steps);
+  return detector.make_decision_record(segment, verdict, steps);
 }
 
 trace::CallEvent event(const std::string& name) {
@@ -179,12 +199,9 @@ TEST(ForwardDecompositionTest, ImpossibleWindowPutsInfinityAtFailingStep) {
 TEST(DecisionRecordTest, RecordMatchesVerdictAndLabels) {
   const core::Detector detector = tiny_detector(-1.0);
   const hmm::ObservationSeq segment{0, 1, 0};
-  hmm::ForwardResult forward;
-  const core::SegmentVerdict verdict =
-      detector.score_segment(segment, &forward);
+  const core::SegmentVerdict verdict = detector.score_segment(segment);
   EXPECT_TRUE(verdict.flagged);  // threshold -1 is above any real window
-  const obs::DecisionRecord record =
-      detector.make_decision_record(segment, verdict, forward);
+  const obs::DecisionRecord record = kernel_record(detector, segment);
   EXPECT_EQ(record.log_likelihood, verdict.log_likelihood);
   EXPECT_EQ(record.threshold, -1.0);
   EXPECT_EQ(record.margin, verdict.log_likelihood - (-1.0));
@@ -202,14 +219,9 @@ TEST(DecisionRecordTest, RecordMatchesVerdictAndLabels) {
 TEST(DecisionRecordTest, UnknownSymbolAbsorbsTheInfinity) {
   const core::Detector detector = tiny_detector(-10.0);
   const hmm::ObservationSeq segment{0, 7, 1};  // 7 is out of vocabulary
-  hmm::ForwardResult forward;
-  const core::SegmentVerdict verdict =
-      detector.score_segment(segment, &forward);
-  EXPECT_TRUE(verdict.unknown_symbol);
-  EXPECT_TRUE(forward.impossible);
-  EXPECT_EQ(verdict.log_likelihood, -kInf);
-  const obs::DecisionRecord record =
-      detector.make_decision_record(segment, verdict, forward);
+  const obs::DecisionRecord record = kernel_record(detector, segment);
+  EXPECT_TRUE(record.unknown_symbol);
+  EXPECT_EQ(record.log_likelihood, -kInf);
   ASSERT_EQ(record.symbols.size(), 3u);
   EXPECT_FALSE(record.symbols[0].unknown);
   EXPECT_TRUE(record.symbols[1].unknown);
@@ -217,6 +229,117 @@ TEST(DecisionRecordTest, UnknownSymbolAbsorbsTheInfinity) {
   EXPECT_EQ(record.symbols[1].log_prob, -kInf);
   EXPECT_EQ(record.symbols[0].log_prob, 0.0);
   EXPECT_EQ(record.contribution_sum(), -kInf);
+}
+
+TEST(DecisionRecordTest, StepSinkMustCoverTheWindow) {
+  const core::Detector detector = tiny_detector(-10.0);
+  const auto kernel = core::ScoringKernel::compile(detector);
+  core::KernelScratch scratch;
+  const hmm::ObservationSeq segment{0, 1, 0};
+  std::vector<core::ForwardStep> short_sink(2);
+  EXPECT_THROW(kernel->score_window(segment, scratch, short_sink),
+               std::invalid_argument);
+  const core::SegmentVerdict verdict = kernel->score_window(segment, scratch);
+  EXPECT_THROW(detector.make_decision_record(segment, verdict, short_sink),
+               std::invalid_argument);
+}
+
+// The kernel-built record equals the one the reference recursion explains
+// (forward_scaled + per_symbol_log_contributions / per_symbol_argmax_states)
+// on every kind of window, bit for bit.
+
+TEST(DecisionRecordTest, KernelRecordMatchesReferenceOnNormalWindow) {
+  const core::Detector detector = tiny_detector(-10.0);
+  const hmm::ObservationSeq segment{0, 1, 1};
+  ASSERT_FALSE(detector.score_segment(segment).flagged);
+  testing::expect_same_record(kernel_record(detector, segment),
+                              testing::reference_record(detector, segment));
+}
+
+TEST(DecisionRecordTest, KernelRecordMatchesReferenceOnFlaggedWindow) {
+  const core::Detector detector = tiny_detector(-1.0);
+  const hmm::ObservationSeq segment{1, 0, 1};
+  ASSERT_TRUE(detector.score_segment(segment).flagged);
+  const obs::DecisionRecord record = kernel_record(detector, segment);
+  testing::expect_same_record(record,
+                              testing::reference_record(detector, segment));
+  // Both states win some step, so the argmax is really compared.
+  EXPECT_NE(record.symbols[0].state, record.symbols[1].state);
+}
+
+TEST(DecisionRecordTest, KernelRecordMatchesReferenceOnUnknownWindow) {
+  const core::Detector detector = tiny_detector(-10.0);
+  const hmm::ObservationSeq segment{1, 5, 0};
+  ASSERT_TRUE(detector.score_segment(segment).unknown_symbol);
+  testing::expect_same_record(kernel_record(detector, segment),
+                              testing::reference_record(detector, segment));
+}
+
+TEST(DecisionRecordTest, KernelRecordMatchesReferenceWhenStepZeroDies) {
+  hmm::Hmm model;
+  model.transition = Matrix::from_rows({{0.5, 0.5}, {0.5, 0.5}});
+  model.emission = Matrix::from_rows({{1.0, 0.0}, {0.0, 1.0}});
+  model.initial = {1.0, 0.0};  // the only starting state cannot emit write
+  const core::Detector detector = detector_from(std::move(model), -10.0);
+  const hmm::ObservationSeq segment{1, 0, 0};
+  const obs::DecisionRecord record = kernel_record(detector, segment);
+  testing::expect_same_record(record,
+                              testing::reference_record(detector, segment));
+  EXPECT_FALSE(record.unknown_symbol);
+  EXPECT_EQ(record.log_likelihood, -kInf);
+  EXPECT_EQ(record.symbols[0].log_prob, -kInf);
+  EXPECT_EQ(record.symbols[1].log_prob, 0.0);
+  EXPECT_EQ(record.symbols[2].state, 0u);
+}
+
+TEST(DecisionRecordTest, KernelRecordMatchesReferenceWhenMidWindowDies) {
+  hmm::Hmm model;
+  model.transition = Matrix::from_rows({{0.2, 0.8}, {0.6, 0.4}});
+  // Neither state can emit write: the window dies at its first write.
+  model.emission = Matrix::from_rows({{1.0, 0.0}, {1.0, 0.0}});
+  model.initial = {0.3, 0.7};
+  const core::Detector detector = detector_from(std::move(model), -10.0);
+  const hmm::ObservationSeq segment{0, 0, 1, 0};
+  const obs::DecisionRecord record = kernel_record(detector, segment);
+  testing::expect_same_record(record,
+                              testing::reference_record(detector, segment));
+  EXPECT_EQ(record.symbols[0].state, 1u);  // a live step's argmax
+  EXPECT_GT(record.symbols[1].log_prob, -kInf);
+  EXPECT_EQ(record.symbols[2].log_prob, -kInf);
+  EXPECT_EQ(record.symbols[2].state, 0u);
+  EXPECT_EQ(record.symbols[3].log_prob, 0.0);
+  EXPECT_EQ(record.contribution_sum(), -kInf);
+}
+
+TEST(MonitorDecisionTest, SampledRecordsMatchReferenceRecursion) {
+  // Every window sampled over a stream mixing read/write and a call the
+  // model never saw: each record the monitor keeps is the reference one.
+  const core::Detector detector = tiny_detector(-2.5);
+  core::MonitorOptions options;
+  options.decisions.enabled = true;
+  options.decisions.sample_every = 1;
+  options.decisions.ring_capacity = 1;
+  core::OnlineMonitor monitor(detector, nullptr, options);
+  const char* names[] = {"read", "write", "write", "read", "unlink", "read",
+                         "read", "read",  "write", "write", "read",  "write"};
+  std::size_t records = 0;
+  std::size_t flagged = 0;
+  std::size_t unknown = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const char* name : names) {
+      const core::MonitorUpdate update = monitor.on_event(event(name));
+      if (!update.window_complete) continue;
+      ASSERT_NE(update.decision, nullptr);
+      testing::expect_same_record(
+          *update.decision, testing::reference_record(detector, *update.window));
+      ++records;
+      flagged += update.flagged;
+      unknown += update.unknown_symbol;
+    }
+  }
+  EXPECT_EQ(records, 3 * 12 - 2u);
+  EXPECT_GT(flagged, unknown);  // some known windows flag, too
+  EXPECT_GT(unknown, 0u);
 }
 
 TEST(MonitorDecisionTest, PeriodicSamplingFillsBoundedRing) {

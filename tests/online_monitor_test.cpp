@@ -4,6 +4,7 @@
 #include "src/attack/exploit_driver.hpp"
 #include "src/core/online_monitor.hpp"
 #include "src/workload/testcase_generator.hpp"
+#include "tests/reference_record.hpp"
 
 namespace cmarkov::core {
 namespace {
@@ -356,7 +357,7 @@ TEST(OnlineMonitorTest, StateBytesAndStorageRecycling) {
 std::vector<trace::CallEvent> mixed_stream() {
   // Benign traffic, then attack traffic, with a call the model has never
   // seen in any context sprinkled in — exercising the healthy, flagged,
-  // and unknown-symbol (-inf) scoring branches of both paths.
+  // and unknown-symbol (-inf) scoring branches of the kernel.
   std::vector<trace::CallEvent> events = benign_events(29, 2);
   for (const auto& attack : attack::build_attack_traces(
            fixture().suite, attack::gzip_payloads(), 2)) {
@@ -373,69 +374,112 @@ std::vector<trace::CallEvent> mixed_stream() {
   return events;
 }
 
-TEST(OnlineMonitorTest, KernelPathBitIdenticalToReferencePath) {
-  // Decision tracing keeps the reference forward recursion (it needs the
-  // full alpha matrix for the audit record); every other window goes
-  // through the compiled ScoringKernel. Over the same stream the two paths
-  // must agree EXACTLY — same double bits, not approximately.
+/// Decision audit as cmarkovd arms it (--trace-sample N): every Nth window
+/// and every flagged window keep a record. N is small here so that benign
+/// windows are sampled too.
+constexpr std::size_t kSampleEvery = 7;
+
+MonitorOptions audited_options() {
   MonitorOptions audited;
   audited.decisions.enabled = true;
+  audited.decisions.sample_every = kSampleEvery;
+  audited.decisions.always_on_flagged = true;
   audited.decisions.ring_capacity = 4;
-  audited.decisions.sample_every = 0;
-  OnlineMonitor reference(fixture().detector, nullptr, audited);
-  OnlineMonitor fast(fixture().detector);
+  return audited;
+}
+
+void expect_reference_verdict(const MonitorUpdate& update, std::size_t at) {
+  ASSERT_NE(update.window, nullptr) << at;
+  const SegmentVerdict reference =
+      fixture().detector.score_segment(*update.window);
+  EXPECT_EQ(update.log_likelihood, reference.log_likelihood) << at;  // exact
+  EXPECT_EQ(update.flagged, reference.flagged) << at;
+  EXPECT_EQ(update.unknown_symbol, reference.unknown_symbol) << at;
+}
+
+void expect_same_update(const MonitorUpdate& a, const MonitorUpdate& b,
+                        std::size_t at) {
+  ASSERT_EQ(a.window_complete, b.window_complete) << at;
+  EXPECT_EQ(a.log_likelihood, b.log_likelihood) << at;
+  EXPECT_EQ(a.flagged, b.flagged) << at;
+  EXPECT_EQ(a.unknown_symbol, b.unknown_symbol) << at;
+  EXPECT_EQ(a.alarm, b.alarm) << at;
+}
+
+void expect_same_stats(const MonitorStats& a, const MonitorStats& b) {
+  EXPECT_EQ(a.events_seen, b.events_seen);
+  EXPECT_EQ(a.events_observed, b.events_observed);
+  EXPECT_EQ(a.windows_scored, b.windows_scored);
+  EXPECT_EQ(a.windows_flagged, b.windows_flagged);
+  EXPECT_EQ(a.alarms, b.alarms);
+}
+
+TEST(OnlineMonitorTest, KernelPathBitIdenticalToReferencePath) {
+  // Every window is scored by the compiled ScoringKernel, audited or not.
+  // The reference recursion (Detector::score_segment) is the oracle: each
+  // window's verdict must equal it EXACTLY — same double bits — and turning
+  // the audit on must not change a single update, alarm, or counter.
+  OnlineMonitor audited(fixture().detector, nullptr, audited_options());
+  OnlineMonitor plain(fixture().detector);
 
   std::size_t windows = 0;
   std::size_t unknown_windows = 0;
   std::size_t flagged_windows = 0;
-  for (const auto& event : mixed_stream()) {
-    const MonitorUpdate a = reference.on_event(event);
-    const MonitorUpdate b = fast.on_event(event);
-    ASSERT_EQ(a.window_complete, b.window_complete);
+  std::size_t records = 0;
+  const std::vector<trace::CallEvent> events = mixed_stream();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const MonitorUpdate a = audited.on_event(events[i]);
+    const MonitorUpdate b = plain.on_event(events[i]);
+    expect_same_update(a, b, i);
+    EXPECT_EQ(b.decision, nullptr);
     if (!a.window_complete) continue;
+    expect_reference_verdict(a, i);
     ++windows;
     unknown_windows += a.unknown_symbol;
     flagged_windows += a.flagged;
-    EXPECT_FALSE(a.scored_by_kernel);
-    EXPECT_TRUE(b.scored_by_kernel);
-    EXPECT_EQ(a.log_likelihood, b.log_likelihood);  // exact, not near
-    EXPECT_EQ(a.flagged, b.flagged);
-    EXPECT_EQ(a.unknown_symbol, b.unknown_symbol);
-    EXPECT_EQ(a.alarm, b.alarm);
+    // Kept: every flagged window, and every Nth window as the sample.
+    ASSERT_EQ(a.decision != nullptr,
+              a.flagged || windows % kSampleEvery == 0)
+        << i;
+    if (a.decision != nullptr) {
+      ++records;
+      testing::expect_same_record(
+          *a.decision,
+          testing::reference_record(fixture().detector, *a.window));
+    }
   }
-  // All three scoring branches must actually have been compared.
+  expect_same_stats(audited.stats(), plain.stats());
+  // All three scoring branches must actually have been compared, and the
+  // audit must have kept the flagged windows plus the periodic sample.
   ASSERT_GT(windows, 100u);
   ASSERT_GT(unknown_windows, 0u);
   ASSERT_GT(flagged_windows, unknown_windows);
+  EXPECT_GT(records, flagged_windows);
 }
 
-TEST(OnlineMonitorTest, SnapshotRestoresIdenticallyOnBothScoringPaths) {
-  // Window ids are interchangeable between the kernel and the reference
-  // path (the kernel interns to the same ids and unknown sentinel as the
-  // alphabet), so a snapshot from a kernel-scoring monitor must rescore
-  // identically whether restored into a kernel or an audited monitor.
+TEST(OnlineMonitorTest, SnapshotRestoreMatchesReferenceWithAuditOnAndOff) {
+  // A snapshot taken mid-window resumes bit-identically: restored into an
+  // audited and an unaudited monitor, both reproduce the reference verdict
+  // of every later window and agree on every update and counter.
   const std::vector<trace::CallEvent> events = mixed_stream();
   const std::size_t cut = events.size() / 2 + 3;  // mid-window on purpose
   OnlineMonitor source(fixture().detector);
   for (std::size_t i = 0; i < cut; ++i) source.on_event(events[i]);
   const MonitorSnapshot frozen = source.snapshot();
 
-  MonitorOptions audited;
-  audited.decisions.enabled = true;
-  audited.decisions.ring_capacity = 4;
-  OnlineMonitor kernel_resumed(fixture().detector);
-  OnlineMonitor reference_resumed(fixture().detector, nullptr, audited);
-  kernel_resumed.restore(frozen);
-  reference_resumed.restore(frozen);
+  OnlineMonitor plain_resumed(fixture().detector);
+  OnlineMonitor audited_resumed(fixture().detector, nullptr,
+                                audited_options());
+  plain_resumed.restore(frozen);
+  audited_resumed.restore(frozen);
   for (std::size_t i = cut; i < events.size(); ++i) {
-    const MonitorUpdate a = reference_resumed.on_event(events[i]);
-    const MonitorUpdate b = kernel_resumed.on_event(events[i]);
-    ASSERT_EQ(a.window_complete, b.window_complete) << i;
-    EXPECT_EQ(a.log_likelihood, b.log_likelihood) << i;
-    EXPECT_EQ(a.flagged, b.flagged) << i;
-    EXPECT_EQ(a.unknown_symbol, b.unknown_symbol) << i;
+    const MonitorUpdate a = audited_resumed.on_event(events[i]);
+    const MonitorUpdate b = plain_resumed.on_event(events[i]);
+    expect_same_update(a, b, i);
+    if (a.window_complete) expect_reference_verdict(a, i);
   }
-  ASSERT_GT(kernel_resumed.stats().windows_scored,
+  expect_same_stats(audited_resumed.stats(), plain_resumed.stats());
+  ASSERT_GT(plain_resumed.stats().windows_scored,
             frozen.stats.windows_scored);
 }
 

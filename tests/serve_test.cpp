@@ -415,6 +415,47 @@ TEST(SessionManagerTest, LifecycleErrorsAreLoud) {
   EXPECT_NE(manager.next_session_id(), manager.next_session_id());
 }
 
+TEST(SessionManagerTest, SessionStatsNeverMissesALiveSessionMidTransition) {
+  // Eviction erases a session from the resident map before its snapshot
+  // reaches the store; a restore takes the snapshot before re-inserting
+  // it. A stats reader racing either transition must still find the
+  // session, never report "no session" for a live id.
+  ServiceConfig config;
+  SessionManager manager(fixture().registry, config);
+  manager.open_session("live", "gzip");
+  const std::vector<trace::CallEvent> events =
+      fixture().events_for(fixture().gzip, 5, 1);
+  constexpr std::size_t kCycles = 10000;
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> misses{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      try {
+        manager.session_stats("live");
+      } catch (const std::invalid_argument&) {
+        misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    manager.evict_session("live");
+    // Resident miss -> transparent restore from the snapshot store.
+    ASSERT_NE(manager.submit("live", events[i % events.size()]),
+              SubmitResult::kUnknownSession);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  manager.drain();
+
+  EXPECT_EQ(misses.load(), 0u) << "of " << reads.load() << " reads";
+  const SessionStats stats = manager.session_stats("live");
+  EXPECT_EQ(stats.processed + stats.evicted_dropped, kCycles);
+}
+
 TEST(LatencyHistogramTest, QuantilesLandInTheRightBucket) {
   // The serve latency histogram is a plain obs::Histogram over
   // latency_bucket_bounds(); this pins the quantile semantics the

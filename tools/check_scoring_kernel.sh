@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
-# Guards the PR-7 serve hot path: the serving tier scores exclusively
-# through the compiled core::ScoringKernel (shared per model version by
-# the ModelRegistry). Raw HMM scoring entry points — the ForwardResult
-# matrix recursion and friends — allocate per window and bypass the
-# flat-scratch kernel, so they must never appear in src/serve. The one
-# sanctioned exception is the decision-audit path, which needs the full
-# alpha matrix and reaches the reference recursion through
-# Detector::score_segment inside src/core, not from serve code.
+# Guards the serve hot path: the serving tier scores exclusively through
+# the compiled core::ScoringKernel (shared per model version by the
+# ModelRegistry). Raw HMM scoring entry points — the ForwardResult matrix
+# recursion and friends — allocate per window and bypass the flat-scratch
+# kernel, so they must never appear in src/serve. The same holds for
+# OnlineMonitor, which every session scores through: it runs one kernel
+# call per window, and the decision audit reads that call's per-step sink,
+# so neither the reference recursion nor Detector::score_segment may
+# appear in src/core/online_monitor.*.
 #
 # Wired into CTest as `check_scoring_kernel` (label: serve).
 set -eu
@@ -23,6 +24,17 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
+monitor="$(grep -nE '(forward_scaled|score_segment)[[:space:]]*\(' \
+  "$repo_root"/src/core/online_monitor.* || true)"
+
+if [ -n "$monitor" ]; then
+  echo "error: OnlineMonitor scores every window with one" >&2
+  echo "ScoringKernel::score_window call (the audit reads its step sink)," >&2
+  echo "never the reference recursion:" >&2
+  echo "$monitor" >&2
+  exit 1
+fi
+
 # The serving tier must also not compile private kernels per session: the
 # only compile() call sites are the registry (one image per model version)
 # and core itself (standalone monitors without a serve tier).
@@ -36,4 +48,4 @@ if [ -n "$compiles" ]; then
   echo "$compiles" >&2
   exit 1
 fi
-echo "ok: src/serve scores only through the shared ScoringKernel"
+echo "ok: src/serve and OnlineMonitor score only through the ScoringKernel"
