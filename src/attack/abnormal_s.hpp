@@ -28,7 +28,7 @@ struct LegitimateCall {
   ir::CallKind kind = ir::CallKind::kSyscall;
   std::uint64_t site_address = 0;
   std::uint64_t grandparent_address = 0;
-  std::string grandcaller;
+  std::string grandcaller{};
 
   friend bool operator==(const LegitimateCall& a, const LegitimateCall& b) {
     return a.name == b.name && a.caller == b.caller && a.kind == b.kind;

@@ -1,10 +1,12 @@
 #include "src/core/scoring_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/stopwatch.hpp"
 
@@ -41,6 +43,64 @@ std::size_t argmax_state(const double* row, std::size_t n) {
   }
   return best;
 }
+
+/// Two doubles in one SSE register (a GCC vector extension, plain SSE2 on
+/// x86-64). Lane-wise + and * round exactly like the scalar operations, so a
+/// lane computes bit for bit what a scalar accumulator would.
+using Lanes = double __attribute__((vector_size(16)));
+
+inline Lanes load_lanes(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// The exact forward step for the W destinations starting at column j of the
+/// source-major transition matrix `a`: W / 2 two-lane accumulators, plus one
+/// scalar when W is odd, stay in registers across the whole predecessor
+/// walk. Each destination adds its prev[i] * A(i, j) terms in ascending i,
+/// starting from 0.0, exactly like the reference's per-destination dot
+/// product; the emission multiply is applied once, when the tile is stored.
+template <std::size_t W>
+void forward_tile(const double* prev, const double* a, std::size_t n,
+                  const double* em, std::size_t j, double* cur) {
+  constexpr std::size_t kPairs = W / 2;
+  Lanes acc[kPairs > 0 ? kPairs : 1] = {};
+  double odd = 0.0;
+  const double* row = a + j;
+  for (std::size_t i = 0; i < n; ++i, row += n) {
+    const double p = prev[i];
+    const Lanes pp = {p, p};
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kPairs; ++v) {
+      acc[v] += pp * load_lanes(row + 2 * v);
+    }
+    if constexpr (W % 2 != 0) odd += p * row[W - 1];
+  }
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v < kPairs; ++v) {
+    const Lanes out = acc[v] * load_lanes(em + j + 2 * v);
+    std::memcpy(cur + j + 2 * v, &out, sizeof out);
+  }
+  if constexpr (W % 2 != 0) cur[j + W - 1] = odd * em[j + W - 1];
+}
+
+/// Full tiles are 16 destinations wide: eight independent add chains. The
+/// n % 16 destinations left over form one tail tile, so the tail costs one
+/// predecessor walk (a chain of n dependent adds) whatever its width.
+constexpr std::size_t kTileWidth = 16;
+
+using TileFn = void (*)(const double*, const double*, std::size_t,
+                        const double*, std::size_t, double*);
+
+template <std::size_t... W>
+constexpr std::array<TileFn, sizeof...(W)> tile_table(
+    std::index_sequence<W...>) {
+  return {&forward_tile<W>...};
+}
+
+/// kTailTiles[w] steps a tail of w destinations (w = 0 is a no-op).
+constexpr auto kTailTiles = tile_table(std::make_index_sequence<kTileWidth>{});
 
 /// Bump-carves an 8-aligned section of `bytes` out of the arena cursor.
 std::size_t carve(std::size_t& cursor, std::size_t bytes) {
@@ -153,11 +213,10 @@ std::shared_ptr<const ScoringKernel> ScoringKernel::compile(
   const auto initial = reinterpret_cast<double*>(base + initial_at);
   for (std::size_t i = 0; i < n; ++i) initial[i] = model.initial[i];
 
-  // Natural (source-major) layout: row i holds A(i, *) contiguously. The
-  // forward step iterates sources outer / destinations inner, so the inner
-  // loop updates n independent accumulators from one contiguous row — a
-  // vectorizable form that still adds into each cur[j] in ascending-i
-  // order, exactly like the reference recursion's per-destination sum.
+  // Natural (source-major) layout: row i holds A(i, *) contiguously, so a
+  // destination tile reads one contiguous slice of each source row while
+  // its accumulators add in ascending-i order, exactly like the reference
+  // recursion's per-destination sum.
   const auto transition = reinterpret_cast<double*>(base + transition_at);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -298,15 +357,17 @@ SegmentVerdict ScoringKernel::score_window(
   };
 
   // Identical operations in identical order to hmm::forward_scaled (exact
-  // mode): every cur[j] accumulates its predecessor terms in ascending-i
-  // order, the emission multiply happens once after the sum, the per-step
-  // scale is accumulated over destinations in ascending order, rows are
-  // normalized in place, and log c_t is summed in step order. Interchanging
-  // the i/j loops only changes WHEN each addition happens, not the sequence
-  // of additions into any one accumulator — so not a single double differs,
-  // while the inner loop becomes n independent lanes the compiler can
-  // vectorize (a j-outer dot product is a serial FP reduction and cannot).
-  // The audit sink reads each normalized row after the step's inner loops.
+  // mode): every destination accumulates its predecessor terms in
+  // ascending-i order starting from 0.0, the emission multiply happens once
+  // after the sum, the per-step scale is accumulated over destinations in
+  // ascending order, rows are normalized in place, and log c_t is summed in
+  // step order. The step is a register-tiled matrix-vector product: each
+  // tile of destinations walks all predecessors once with its accumulators
+  // held in registers (forward_tile), so the only memory traffic is the
+  // transition rows and prev[i]. Tiling changes WHEN each addition happens,
+  // not the sequence of additions into any one accumulator, and no
+  // addition is fused or reassociated — not a single double differs. The
+  // audit sink reads each normalized row after the step.
   double scale = 0.0;
   {
     const double* em = emission_col(window[0]);
@@ -337,19 +398,12 @@ SegmentVerdict ScoringKernel::score_window(
         scale += v;
       }
     } else {
-      for (std::size_t j = 0; j < n; ++j) cur[j] = 0.0;
-      const double* row = transition_;
-      for (std::size_t i = 0; i < n; ++i, row += n) {
-        const double p = prev[i];
-        for (std::size_t j = 0; j < n; ++j) {
-          cur[j] += p * row[j];
-        }
+      std::size_t j = 0;
+      for (; j + kTileWidth <= n; j += kTileWidth) {
+        forward_tile<kTileWidth>(prev, transition_, n, em, j, cur);
       }
-      for (std::size_t j = 0; j < n; ++j) {
-        const double v = cur[j] * em[j];
-        cur[j] = v;
-        scale += v;
-      }
+      kTailTiles[n - j](prev, transition_, n, em, j, cur);
+      for (std::size_t k = 0; k < n; ++k) scale += cur[k];
     }
     if (scale <= 0.0) return impossible(t);
     const double log_scale = std::log(scale);

@@ -13,11 +13,13 @@
 // One contiguous arena allocation holds, in order:
 //   - pi     : N doubles, the initial distribution;
 //   - A      : N x N doubles, source-major (transition[i*N + j] = A(i, j)) —
-//              the forward step iterates sources outer / destinations inner,
-//              so the inner loop streams one contiguous row into N
-//              independent accumulators (vectorizable, and still bit-exact:
-//              each destination's sum adds its terms in ascending-i order,
-//              same as the reference's per-destination dot product);
+//              the forward step is register-tiled: destinations go in tiles
+//              of 16 (then one tail tile of the N % 16 left over), and each
+//              tile walks the sources in ascending i with its accumulators
+//              in SSE registers, reading a contiguous slice of each row.
+//              Still bit-exact: each destination's sum adds its terms in
+//              ascending-i order, same as the reference's per-destination
+//              dot product, with no fused or reassociated operation;
 //   - B^T    : M x N doubles, emission_t[k*N + j] = B(j, k) — the emission
 //              column of the observed symbol is a contiguous row, resolved
 //              once per timestep via emission_col(k);

@@ -439,6 +439,10 @@ SubmitResult SessionManager::submit(const std::string& id,
 }
 
 bool SessionManager::has_session(const std::string& id) const {
+  if (find_session(id) != nullptr || snapshots_.contains(id)) return true;
+  // Same second look as session_stats: a session mid-eviction or
+  // mid-restore misses both lookups outside lifecycle_mu_.
+  const std::lock_guard lifecycle(lifecycle_mu_);
   return find_session(id) != nullptr || snapshots_.contains(id);
 }
 

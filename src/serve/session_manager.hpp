@@ -184,7 +184,8 @@ class SessionManager {
                       const std::string& trace_id,
                       std::uint64_t* seq_out = nullptr);
 
-  /// True for resident sessions and for sessions evicted to the store.
+  /// True for resident sessions and for sessions evicted to the store,
+  /// also while one is mid-eviction or mid-restore.
   bool has_session(const std::string& id) const;
 
   /// Live counters (no drain; may lag concurrent processing). Works for

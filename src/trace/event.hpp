@@ -28,7 +28,7 @@ struct CallEvent {
   /// 2-level-context extension (VtPath-style stack context).
   std::uint64_t grandparent_address = 0;
   /// Caller's caller; empty until symbolized ("-" when there is none).
-  std::string grandcaller;
+  std::string grandcaller{};
 };
 
 struct Trace {

@@ -36,12 +36,10 @@ void Symbolizer::symbolize(Trace& trace) const {
     event.caller = resolve(event.site_address).value_or(kUnknownCaller);
     // Grandparent context: "-" at the entry function (no caller's caller),
     // "?" for forged/unmapped stack contents.
-    if (event.grandparent_address == 0) {
-      event.grandcaller = kNoGrandcaller;
-    } else {
-      event.grandcaller =
-          resolve(event.grandparent_address).value_or(kUnknownCaller);
-    }
+    event.grandcaller =
+        event.grandparent_address == 0
+            ? std::string(kNoGrandcaller)
+            : resolve(event.grandparent_address).value_or(kUnknownCaller);
   }
 }
 

@@ -419,7 +419,8 @@ TEST(SessionManagerTest, SessionStatsNeverMissesALiveSessionMidTransition) {
   // Eviction erases a session from the resident map before its snapshot
   // reaches the store; a restore takes the snapshot before re-inserting
   // it. A stats reader racing either transition must still find the
-  // session, never report "no session" for a live id.
+  // session, never report "no session" for a live id, and has_session must
+  // never answer false for it.
   ServiceConfig config;
   SessionManager manager(fixture().registry, config);
   manager.open_session("live", "gzip");
@@ -430,12 +431,16 @@ TEST(SessionManagerTest, SessionStatsNeverMissesALiveSessionMidTransition) {
   std::atomic<bool> done{false};
   std::atomic<std::size_t> reads{0};
   std::atomic<std::size_t> misses{0};
+  std::atomic<std::size_t> absent{0};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       try {
         manager.session_stats("live");
       } catch (const std::invalid_argument&) {
         misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (!manager.has_session("live")) {
+        absent.fetch_add(1, std::memory_order_relaxed);
       }
       reads.fetch_add(1, std::memory_order_relaxed);
     }
@@ -452,6 +457,7 @@ TEST(SessionManagerTest, SessionStatsNeverMissesALiveSessionMidTransition) {
   manager.drain();
 
   EXPECT_EQ(misses.load(), 0u) << "of " << reads.load() << " reads";
+  EXPECT_EQ(absent.load(), 0u) << "of " << reads.load() << " reads";
   const SessionStats stats = manager.session_stats("live");
   EXPECT_EQ(stats.processed + stats.evicted_dropped, kCycles);
 }
